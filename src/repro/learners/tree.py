@@ -15,7 +15,10 @@ Split finding is vectorised: per (node, feature) histograms are built with
 ``np.bincount`` and all candidate thresholds are scored at once — or, when
 the native kernels are enabled (:mod:`repro.native`), by the compiled
 bitwise-identical equivalents.  A grower binds its kernels object once at
-construction; per-node code never re-dispatches.
+construction; per-node code never re-dispatches.  The extra-random mode
+runs on the same kernels: one kernel call counts each feature's valid
+thresholds, the grower draws every feature's pick with one
+``rng.integers`` call, and a second call scores only the picks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from ..native import active_kernels
 from ..native.fallback import _EPS  # the kernels' gain tie-break epsilon
+from ..native.fallback import impurity as _impurity
 from ..native.fallback import soft_threshold as _soft_threshold
 
 __all__ = ["Tree", "FlatEnsemble", "GradTreeGrower", "ClassTreeGrower"]
@@ -33,6 +37,24 @@ __all__ = ["Tree", "FlatEnsemble", "GradTreeGrower", "ClassTreeGrower"]
 #: cap on histograms parked on pending tree nodes for the
 #: sibling-subtraction trick; beyond it children rebuild from scratch
 _HIST_CACHE_BYTES = 32 << 20
+
+
+def _draw_picks(rng, counts: np.ndarray) -> np.ndarray | None:
+    """Extra-random threshold picks: for each feature with ``counts[j]``
+    valid thresholds, the rank of the one it competes with (``-1`` for
+    features with none); None when no feature has any.
+
+    One ``rng.integers(0, counts[counts > 0])`` call returns the same
+    values and leaves the same generator state as a ``rng.choice`` per
+    feature in feature order (``tests/learners/test_tree.py`` pins
+    that), so trees match the per-feature draws bit for bit.
+    """
+    has = counts > 0
+    if not has.any():
+        return None
+    picks = np.full(counts.size, -1, dtype=np.int64)
+    picks[has] = rng.integers(0, counts[has])
+    return picks
 
 
 class Tree:
@@ -358,9 +380,9 @@ class GradTreeGrower:
         per-tree constants :meth:`grow` hoists out of this per-node call.
 
         The histogram build and the scan run on the grower's bound
-        kernels (compiled or numpy — bitwise identical either way); the
-        extra-random mode hands the scan its RNG, which keeps that mode
-        on the numpy reference path.
+        kernels (compiled or numpy — bitwise identical either way),
+        the extra-random mode included: it counts each feature's valid
+        thresholds, draws the picks here and scans only those.
         """
         g, h = grad[idx], hess[idx]
         G, H = float(g.sum()), float(h.sum())
@@ -380,12 +402,18 @@ class GradTreeGrower:
                 codes, g, h, idx, features, n_bins, nbmax, need_cnt,
                 all_features=all_features,
             )
+        picks = None
+        if self.extra_random:
+            picks = _draw_picks(self.rng, self.kernels.best_split_counts(
+                hists, nbf, idx.size, H, self.min_child_weight,
+                self.min_samples_leaf, t_valid=t_valid,
+            ))
+            if picks is None:
+                return 0.0, -1, -1, hists
         gain, j, t = self.kernels.best_split_scan(
             hists, nbf, idx.size, G, H, parent,
             self.min_child_weight, self.reg_alpha, self.reg_lambda,
-            self.min_samples_leaf,
-            rng=self.rng if self.extra_random else None,
-            t_valid=t_valid,
+            self.min_samples_leaf, picks=picks, t_valid=t_valid,
         )
         if j < 0 or gain <= _EPS:
             return 0.0, -1, -1, hists
@@ -557,26 +585,13 @@ class ClassTreeGrower:
         self.rng = rng or np.random.default_rng(0)
         self.kernels = kernels if kernels is not None else active_kernels()
 
-    def _impurity(self, counts: np.ndarray) -> np.ndarray:
-        """Impurity of count vectors along the last axis, times total count.
-
-        Returning ``impurity * n`` (the "weighted" impurity) makes the gain
-        computation a simple subtraction.
-        """
-        tot = counts.sum(axis=-1)
-        safe = np.maximum(tot, _EPS)
-        p = counts / safe[..., None]
-        if self.criterion == "gini":
-            np.power(p, 2, out=p)  # in place: p is ours, and p**2 == p·p
-            per = 1.0 - p.sum(axis=-1)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logp = np.where(p > 0, np.log2(np.maximum(p, _EPS)), 0.0)
-            per = -(p * logp).sum(axis=-1)
-        per *= tot
-        return per
-
     def _best_split(self, codes, y, idx, n_bins, w=None):
+        """Return (gain, feature, threshold) of the node's best split.
+
+        The joint histogram build and the split scan run on the
+        grower's bound kernels; the extra-random mode counts valid
+        thresholds, draws one per feature here and scans only those.
+        """
         d = codes.shape[1]
         all_features = self.max_features >= 1.0
         features = np.arange(d)
@@ -587,47 +602,29 @@ class ClassTreeGrower:
         K = self.n_classes
         w_idx = None if w is None else w[idx]
         total = np.bincount(yk, weights=w_idx, minlength=K).astype(np.float64)
-        parent = float(self._impurity(total))
-        # joint (class, feature, bin) histogram on the grower's bound
-        # kernels — the numpy reference is the old ONE-flat-bincount
-        # body moved verbatim into repro.native.fallback, and the C
-        # kernel is its bitwise-identical row-major loop
-        F = features.size
-        nbmax = int(n_bins[features].max())
+        parent = float(_impurity(total, self.criterion))
+        nbf = n_bins[features]
+        nbmax = int(nbf.max())
         if nbmax < 2:
             return 0.0, -1, -1
         joint = self.kernels.build_class_hists(
             codes, yk, idx, w_idx, features, K, nbmax,
             all_features=all_features,
         )
-        joint = joint.reshape(K * F, nbmax)
-        CL = joint.cumsum(axis=1).reshape(K, F, nbmax)[:, :, :-1]  # (K, F, T)
-        CL = np.moveaxis(CL, 0, -1)  # (F, T, K)
-        CR = total[None, None, :] - CL
-        nl = CL.sum(axis=2)
-        nr = idx.size - nl
-        valid = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
-        valid &= np.arange(nbmax - 1) < (n_bins[features] - 1)[:, None]
+        picks = None
         if self.extra_random:
-            keep = np.zeros_like(valid)
-            for j in range(F):
-                cand = np.nonzero(valid[j])[0]
-                if cand.size:
-                    keep[j, int(self.rng.choice(cand))] = True
-            valid = keep
-        if not valid.any():
+            picks = _draw_picks(self.rng, self.kernels.class_split_counts(
+                joint, nbf, idx.size, self.min_samples_leaf,
+            ))
+            if picks is None:
+                return 0.0, -1, -1
+        gain, j, t = self.kernels.class_split_scan(
+            joint, total, nbf, idx.size, parent, self.min_samples_leaf,
+            self.criterion, picks=picks,
+        )
+        if j < 0 or gain <= _EPS:
             return 0.0, -1, -1
-        # same association as parent − imp(CL) − imp(CR), built in place
-        gains = self._impurity(CL)
-        np.subtract(parent, gains, out=gains)
-        gains -= self._impurity(CR)
-        gains = np.where(valid, gains, -np.inf)
-        k = int(gains.argmax())
-        j, t = divmod(k, gains.shape[1])
-        best_gain = float(gains[j, t])
-        if best_gain <= _EPS:
-            return 0.0, -1, -1
-        return best_gain, int(features[j]), int(t)
+        return gain, int(features[j]), int(t)
 
     def _leaf_value(self, y, idx, w=None):
         counts = np.bincount(

@@ -6,8 +6,11 @@ small per-node arrays inside the growers, not the arithmetic itself.
 This package pushes the three measured hot loops below the interpreter:
 
 * ``build_hists`` — fused grad/hess[/count] histogram accumulation;
-* ``best_split_scan`` — the best-(gain, feature, threshold) scan over
-  cumulative histograms;
+* ``best_split_scan`` / ``class_split_scan`` — the best-(gain, feature,
+  threshold) scans of the regression and (gini) classification growers,
+  with a ``picks=`` mode that scores one drawn threshold per feature and
+  ``*_counts`` twins that count the valid thresholds it draws from (the
+  extra-trees mode; the grower draws, the kernels take no generator);
 * ``ObliviousLevelScorer`` — the CatBoost-like whole-level scoring loop.
 
 The compiled kernels are **bitwise identical** to the numpy reference

@@ -9,7 +9,9 @@
  *    input order starting from +0.0 -> plain `+=` loops in row order;
  *  - np.cumsum is a sequential left-to-right accumulation;
  *  - np.ndarray.sum(axis=0) reduces sequentially over the axis,
- *    starting from +0.0 (so -0.0 terms behave like numpy's);
+ *    starting from +0.0 (so -0.0 terms behave like numpy's) -- when
+ *    the summed axis is the reduce's inner loop (e.g. the only axis
+ *    left), numpy sums it pairwise instead (pairwise_sum below);
  *  - np.power(x, 2) takes numpy's fast path and equals x*x;
  *  - np.argmax scans in row-major order, strictly-greater replaces,
  *    and the FIRST NaN wins and stops the scan;
@@ -115,14 +117,35 @@ score_term(double G, double Hreg, double alpha)
 }
 
 /* ------------------------------------------------------------------ */
+/* Row-major flat argmax over a (F, T) grid whose skipped cells are
+ * -inf: best starts at -inf on flat cell 0 (an all -inf grid's argmax),
+ * strictly-greater replaces, and the first NaN wins.  Returns 1 when
+ * the scan must stop (NaN). */
+static inline int
+argmax_update(double v, Py_ssize_t cell, double *best, Py_ssize_t *bi)
+{
+    if (v > *best || isnan(v)) {
+        *best = v;
+        *bi = cell;
+        return isnan(v);
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* best (gain, feature, threshold) over the cumulative histograms of
- * one node.
+ * one node, or the number of valid thresholds per feature.
  *
  * args: hists float64[P, F, nbmax] (y*), P (i), F (n), nbmax (n),
  *       n_bins_f int64[F] (y*), G (d), H (d), parent (d),
  *       min_child_weight (d), reg_alpha (d), reg_lambda (d),
- *       min_samples_leaf (n), n_idx (n)
- * returns (best_gain, j, t) -- j indexes into the candidate features.
+ *       min_samples_leaf (n), n_idx (n),
+ *       picks int64[F] (y*, ignored when has_picks == 0), has_picks (i),
+ *       counts int64[F] zeroed (w*, written when count_only == 1),
+ *       count_only (i)
+ * returns (best_gain, j, t) -- j indexes into the candidate features --
+ * or None in count_only mode.  With picks, feature j competes with only
+ * its picks[j]-th valid threshold (none when picks[j] < 0).
  *
  * Numpy reference: cumsum -> validity masks -> gains assembled as
  * ((score(GL,HL) + score(GR,HR)) - parent) * 0.5 -> where(valid, g,
@@ -131,14 +154,15 @@ score_term(double G, double Hreg, double alpha)
 static PyObject *
 py_best_split_scan(PyObject *self, PyObject *args)
 {
-    Py_buffer hists, nbf;
-    int P;
+    Py_buffer hists, nbf, picks, counts;
+    int P, has_picks, count_only;
     Py_ssize_t F, nbmax, msl, n_idx;
     double G, H, parent, mcw, alpha, lam;
 
-    if (!PyArg_ParseTuple(args, "y*inny*ddddddnn",
+    if (!PyArg_ParseTuple(args, "y*inny*ddddddnny*iw*i",
                           &hists, &P, &F, &nbmax, &nbf, &G, &H, &parent,
-                          &mcw, &alpha, &lam, &msl, &n_idx))
+                          &mcw, &alpha, &lam, &msl, &n_idx, &picks,
+                          &has_picks, &counts, &count_only))
         return NULL;
 
     {
@@ -146,71 +170,256 @@ py_best_split_scan(PyObject *self, PyObject *args)
         const double *hh = hg + F * nbmax;
         const double *hc = (P == 3) ? hg + 2 * F * nbmax : NULL;
         const int64_t *nb = (const int64_t *)nbf.buf;
+        const int64_t *pk = has_picks ? (const int64_t *)picks.buf : NULL;
+        int64_t *cnt = count_only ? (int64_t *)counts.buf : NULL;
         const Py_ssize_t T = nbmax - 1;
-        double best = 0.0;
+        double best = -INFINITY;
         Py_ssize_t bi = 0;
-        int started = 0, any_valid = 0;
+        int any_valid = 0;
         Py_ssize_t j, t;
 
-        if (T <= 0) {
-            PyBuffer_Release(&hists);
-            PyBuffer_Release(&nbf);
-            return Py_BuildValue("dnn", 0.0, (Py_ssize_t)-1, (Py_ssize_t)-1);
-        }
-        for (j = 0; j < F; j++) {
+        for (j = 0; j < F && T > 0; j++) {
             const double *rg = hg + j * nbmax;
             const double *rh = hh + j * nbmax;
             const double *rc = hc ? hc + j * nbmax : NULL;
             const Py_ssize_t tmax = (Py_ssize_t)nb[j] - 1;
+            const int64_t want = pk ? pk[j] : 0;
+            int64_t seen = 0;
             double gl = 0.0, hl = 0.0, cl = 0.0;
 
+            if (want < 0)
+                continue;
             for (t = 0; t < T; t++) {
-                double hr, v;
-                int valid;
+                double hr, gr, sl, sr, v;
 
                 gl += rg[t];
                 hl += rh[t];
                 if (rc)
                     cl += rc[t];
                 hr = H - hl;
-                valid = (hl >= mcw) && (hr >= mcw) && (t < tmax);
-                if (rc)
-                    valid = valid && (cl >= (double)msl)
-                            && ((double)n_idx - cl >= (double)msl);
-                if (valid) {
-                    /* same association as gains = score(GL,HL);
-                     * gains += score(GR,HR); gains -= parent;
-                     * gains *= 0.5 */
-                    double gr = G - gl;
-                    double sl = score_term(gl, hl + lam, alpha);
-                    double sr = score_term(gr, hr + lam, alpha);
-                    v = ((sl + sr) - parent) * 0.5;
-                    any_valid = 1;
-                } else {
-                    v = -INFINITY;
+                if (!((hl >= mcw) && (hr >= mcw) && (t < tmax)))
+                    continue;
+                if (rc && !((cl >= (double)msl)
+                            && ((double)n_idx - cl >= (double)msl)))
+                    continue;
+                if (cnt) {
+                    cnt[j]++;
+                    continue;
                 }
-                /* np.argmax over the flat row-major (F, T) array */
-                if (!started) {
-                    best = v;
-                    bi = 0;
-                    started = 1;
-                    if (isnan(v))
-                        goto done;
-                } else if (v > best || isnan(v)) {
-                    best = v;
-                    bi = j * T + t;
-                    if (isnan(v))
-                        goto done;
-                }
+                if (pk && seen++ != want)
+                    continue;
+                /* same association as gains = score(GL,HL);
+                 * gains += score(GR,HR); gains -= parent; gains *= 0.5 */
+                gr = G - gl;
+                sl = score_term(gl, hl + lam, alpha);
+                sr = score_term(gr, hr + lam, alpha);
+                v = ((sl + sr) - parent) * 0.5;
+                any_valid = 1;
+                if (argmax_update(v, j * T + t, &best, &bi))
+                    goto done;
+                if (pk)
+                    break;
             }
         }
 done:
         PyBuffer_Release(&hists);
         PyBuffer_Release(&nbf);
+        PyBuffer_Release(&picks);
+        PyBuffer_Release(&counts);
+        if (count_only)
+            Py_RETURN_NONE;
         if (!any_valid) /* the reference's `not valid.any()` early exit */
             return Py_BuildValue("dnn", 0.0, (Py_ssize_t)-1, (Py_ssize_t)-1);
         return Py_BuildValue("dnn", best, bi / T, bi % T);
     }
+}
+
+/* numpy's pairwise summation (DOUBLE_pairwise_sum in umath), which a
+ * reduce runs when the summed axis is its inner loop */
+static double
+pairwise_sum(const double *a, Py_ssize_t n)
+{
+    Py_ssize_t i;
+
+    if (n < 8) {
+        double res = -0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        for (i = 0; i < 8; i++)
+            r[i] = a[i];
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r[0] += a[i + 0];
+            r[1] += a[i + 1];
+            r[2] += a[i + 2];
+            r[3] += a[i + 3];
+            r[4] += a[i + 4];
+            r[5] += a[i + 5];
+            r[6] += a[i + 6];
+            r[7] += a[i + 7];
+        }
+        res = ((r[0] + r[1]) + (r[2] + r[3]))
+              + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    {
+        Py_ssize_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    }
+}
+
+/* class-axis sum in the order numpy reduces the (F, T, K) grid:
+ * left to right, or pairwise when the grid is a single cell */
+static inline double
+class_sum(const double *a, Py_ssize_t K, int pairwise)
+{
+    double res = -0.0;
+    Py_ssize_t k;
+
+    if (pairwise)
+        return pairwise_sum(a, K);
+    for (k = 0; k < K; k++)
+        res += a[k];
+    return res;
+}
+
+/* gini impurity times total count of one class-count vector:
+ * tot = sum(c); p = c / maximum(tot, eps); (1.0 - sum(p*p)) * tot */
+static inline double
+gini_weighted(const double *c, double *sq, Py_ssize_t K, int pairwise,
+              double eps)
+{
+    const double tot = class_sum(c, K, pairwise);
+    /* np.maximum propagates NaN */
+    const double safe = (tot != tot || tot >= eps) ? tot : eps;
+    Py_ssize_t k;
+
+    for (k = 0; k < K; k++) {
+        const double p = c[k] / safe;
+        sq[k] = p * p;
+    }
+    return (1.0 - class_sum(sq, K, pairwise)) * tot;
+}
+
+/* ------------------------------------------------------------------ */
+/* best gini (gain, feature, threshold) of a classification node, or the
+ * number of valid thresholds per feature.
+ *
+ * args: joint float64[K, F, nbmax] (y*), K (n), F (n), nbmax (n),
+ *       n_bins_f int64[F] (y*), total float64[K] (y*), n_idx (n),
+ *       parent (d), min_samples_leaf (n), eps (d),
+ *       picks int64[F] (y*, ignored when has_picks == 0), has_picks (i),
+ *       counts int64[F] zeroed (w*, written when count_only == 1),
+ *       count_only (i)
+ * returns (best_gain, j, t) or None in count_only mode; picks as in
+ * best_split_scan.
+ *
+ * Numpy reference (fallback.class_split_scan): CL = cumsum over bins,
+ * nl = CL.sum(class axis), valid = nl >= msl & n_idx - nl >= msl &
+ * t < nbf - 1, gains = (parent - gini(CL)) - gini(total - CL) ->
+ * where(valid, g, -inf) -> flat argmax.  Every class-axis sum runs in
+ * class_sum's order.
+ */
+static PyObject *
+py_class_split_scan(PyObject *self, PyObject *args)
+{
+    Py_buffer joint, nbf, total, picks, counts;
+    int has_picks, count_only;
+    Py_ssize_t K, F, nbmax, n_idx, msl;
+    double parent, eps;
+    double *cl = NULL;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*nnny*y*ndndy*iw*i",
+                          &joint, &K, &F, &nbmax, &nbf, &total, &n_idx,
+                          &parent, &msl, &eps, &picks, &has_picks,
+                          &counts, &count_only))
+        return NULL;
+
+    {
+        const double *jp = (const double *)joint.buf;
+        const double *tot = (const double *)total.buf;
+        const int64_t *nb = (const int64_t *)nbf.buf;
+        const int64_t *pk = has_picks ? (const int64_t *)picks.buf : NULL;
+        int64_t *cnt = count_only ? (int64_t *)counts.buf : NULL;
+        const Py_ssize_t T = nbmax - 1;
+        const int pairwise = (F == 1 && T == 1);
+        double *cr, *sq;
+        double best = -INFINITY;
+        Py_ssize_t bi = 0;
+        int any_valid = 0;
+        Py_ssize_t j, t, k;
+
+        cl = (double *)malloc((size_t)(3 * K) * sizeof(double));
+        if (!cl) {
+            PyErr_NoMemory();
+            goto cleanup;
+        }
+        cr = cl + K;
+        sq = cr + K;
+        for (j = 0; j < F && T > 0; j++) {
+            const Py_ssize_t tmax = (Py_ssize_t)nb[j] - 1;
+            const int64_t want = pk ? pk[j] : 0;
+            int64_t seen = 0;
+
+            if (want < 0)
+                continue;
+            for (k = 0; k < K; k++)
+                cl[k] = -0.0;
+            for (t = 0; t < T; t++) {
+                double nl, v;
+
+                for (k = 0; k < K; k++)
+                    cl[k] += jp[(k * F + j) * nbmax + t];
+                nl = class_sum(cl, K, pairwise);
+                if (!((nl >= (double)msl)
+                      && ((double)n_idx - nl >= (double)msl)
+                      && (t < tmax)))
+                    continue;
+                if (cnt) {
+                    cnt[j]++;
+                    continue;
+                }
+                if (pk && seen++ != want)
+                    continue;
+                for (k = 0; k < K; k++)
+                    cr[k] = tot[k] - cl[k];
+                /* same association as parent - imp(CL) - imp(CR) */
+                v = (parent - gini_weighted(cl, sq, K, pairwise, eps))
+                    - gini_weighted(cr, sq, K, pairwise, eps);
+                any_valid = 1;
+                if (argmax_update(v, j * T + t, &best, &bi))
+                    goto found;
+                if (pk)
+                    break;
+            }
+        }
+found:
+        if (count_only) {
+            Py_INCREF(Py_None);
+            result = Py_None;
+        } else if (!any_valid) {
+            result = Py_BuildValue("dnn", 0.0, (Py_ssize_t)-1,
+                                   (Py_ssize_t)-1);
+        } else {
+            result = Py_BuildValue("dnn", best, bi / T, bi % T);
+        }
+    }
+
+cleanup:
+    free(cl);
+    PyBuffer_Release(&joint);
+    PyBuffer_Release(&nbf);
+    PyBuffer_Release(&total);
+    PyBuffer_Release(&picks);
+    PyBuffer_Release(&counts);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -634,6 +843,8 @@ static PyMethodDef kernel_methods[] = {
      "Accumulate (grad, hess[, count]) node histograms in row order."},
     {"best_split_scan", py_best_split_scan, METH_VARARGS,
      "Best (gain, feature, threshold) over cumulative histograms."},
+    {"class_split_scan", py_class_split_scan, METH_VARARGS,
+     "Best gini (gain, feature, threshold) of a classification node."},
     {"oblivious_level", py_oblivious_level, METH_VARARGS,
      "Score one whole oblivious-tree level."},
     {"build_class_hists", py_build_class_hists, METH_VARARGS,

@@ -2,11 +2,15 @@
 
 :class:`NativeKernels` exposes exactly the surface of
 :mod:`repro.native.fallback` — ``build_hists``, ``build_class_hists``,
-``best_split_scan``, ``ObliviousLevelScorer`` and the traversal pair
+the split scans ``best_split_scan``/``class_split_scan`` with their
+``*_counts`` twins, ``ObliviousLevelScorer`` and the traversal pair
 ``ensemble_predict``/``oblivious_predict`` — so growers and engines
-hold one "kernels" object and never branch per node.  The wrappers only normalise dtypes/contiguity
-(no-ops on the growers' own arrays) and allocate outputs; all arithmetic
-lives in ``_kernels.c`` and is bitwise-equal to the fallback.
+hold one "kernels" object and never branch per node.  The wrappers
+only normalise dtypes/contiguity (no-ops on the growers' own arrays)
+and allocate outputs; all arithmetic lives in ``_kernels.c`` and is
+bitwise-equal to the fallback.  Two inputs stay on the numpy reference:
+codes wider than uint16 (:func:`_c_codes`) and the entropy criterion
+(numpy's ``log2`` and libm's disagree in the last bit on some inputs).
 """
 
 from __future__ import annotations
@@ -17,6 +21,10 @@ from . import fallback
 from .fallback import _EPS  # single source of the gain tie-break epsilon
 
 __all__ = ["NativeKernels"]
+
+#: stand in for the C scans' unused picks/counts/total buffers
+_NO_I64 = np.zeros(0, dtype=np.int64)
+_NO_F64 = np.zeros(0)
 
 
 def _i64(arr: np.ndarray) -> np.ndarray:
@@ -97,23 +105,52 @@ class NativeKernels:
 
     def best_split_scan(self, hists, nbf, n_idx, G, H, parent,
                         min_child_weight, reg_alpha, reg_lambda,
-                        min_samples_leaf, rng=None, t_valid=None):
+                        min_samples_leaf, picks=None, t_valid=None):
         # t_valid is the fallback's hoisted threshold mask; the C scan
         # derives the same predicate from nbf inline, so it is unused
-        if rng is not None:
-            # extra-trees threshold draws consume the grower's RNG
-            # mid-scan; that mode stays on the numpy reference path
-            return fallback.best_split_scan(
-                hists, nbf, n_idx, G, H, parent, min_child_weight,
-                reg_alpha, reg_lambda, min_samples_leaf, rng=rng,
-                t_valid=t_valid,
-            )
         P, F, nbmax = hists.shape
         return self._c.best_split_scan(
             hists, P, F, nbmax, _i64(nbf), G, H, parent,
             min_child_weight, reg_alpha, reg_lambda,
             int(min_samples_leaf), int(n_idx),
+            _NO_I64 if picks is None else _i64(picks),
+            0 if picks is None else 1, _NO_I64, 0,
         )
+
+    def best_split_counts(self, hists, nbf, n_idx, H, min_child_weight,
+                          min_samples_leaf, t_valid=None):
+        P, F, nbmax = hists.shape
+        counts = np.zeros(F, dtype=np.int64)
+        self._c.best_split_scan(
+            hists, P, F, nbmax, _i64(nbf), 0.0, H, 0.0, min_child_weight,
+            0.0, 0.0, int(min_samples_leaf), int(n_idx), _NO_I64, 0,
+            counts, 1,
+        )
+        return counts
+
+    def class_split_scan(self, joint, total, nbf, n_idx, parent,
+                         min_samples_leaf, criterion="gini", picks=None):
+        if criterion != "gini":
+            return fallback.class_split_scan(
+                joint, total, nbf, n_idx, parent, min_samples_leaf,
+                criterion, picks=picks,
+            )
+        K, F, nbmax = joint.shape
+        return self._c.class_split_scan(
+            joint, K, F, nbmax, _i64(nbf), _f64(total), int(n_idx),
+            parent, int(min_samples_leaf), _EPS,
+            _NO_I64 if picks is None else _i64(picks),
+            0 if picks is None else 1, _NO_I64, 0,
+        )
+
+    def class_split_counts(self, joint, nbf, n_idx, min_samples_leaf):
+        K, F, nbmax = joint.shape
+        counts = np.zeros(F, dtype=np.int64)
+        self._c.class_split_scan(
+            joint, K, F, nbmax, _i64(nbf), _NO_F64, int(n_idx), 0.0,
+            int(min_samples_leaf), _EPS, _NO_I64, 0, counts, 1,
+        )
+        return counts
 
     def build_class_hists(self, codes, yk, idx, w, features, n_classes,
                           nbmax, all_features=False):

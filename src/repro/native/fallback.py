@@ -26,10 +26,14 @@ import numpy as np
 
 __all__ = [
     "ObliviousLevelScorer",
+    "best_split_counts",
     "best_split_scan",
     "build_class_hists",
     "build_hists",
+    "class_split_counts",
+    "class_split_scan",
     "ensemble_predict",
+    "impurity",
     "oblivious_predict",
     "soft_threshold",
 ]
@@ -199,27 +203,43 @@ def oblivious_predict(codes, features, thresholds, level_offset,
     return out
 
 
-def best_split_scan(hists, nbf, n_idx, G, H, parent, min_child_weight,
-                    reg_alpha, reg_lambda, min_samples_leaf, rng=None,
-                    t_valid=None):
-    """Best ``(gain, j, t)`` over one node's stacked histograms.
+def _picked_cells(valid, picks):
+    """``(jj, tt)`` of the picked thresholds: feature ``j`` keeps its
+    ``picks[j]``-th valid threshold (0-based; none when ``picks[j] <
+    0``).  Cells come out in row-major order, the order the flat argmax
+    of the full ``(F, T)`` grid visits them."""
+    rank = valid.cumsum(axis=1) - 1
+    return np.nonzero(valid & (rank == picks[:, None]))
 
-    ``j`` indexes into the candidate-feature list the histograms were
-    built over; ``(0.0, -1, -1)`` means no valid split.  ``rng`` is the
-    extra-trees mode: keep one random valid threshold per feature (the
-    native wrapper delegates this mode here because the draw consumes
-    the grower's generator mid-scan).  Thresholds are bin codes; split
-    sends ``code <= t`` left (missing bin 0 always goes left).
-    ``t_valid`` is the threshold-validity mask ``arange(nbmax-1) <
-    (nbf-1)[:, None]`` — growers hoist it out of this per-node call
-    (the C kernel derives it from ``nbf`` inline and ignores the arg).
-    """
+
+def _argmax_grid(gains, valid):
+    """``(gain, j, t)`` of the flat argmax of the ``(F, T)`` ``gains``
+    masked to ``valid`` (row-major scan, first NaN wins)."""
+    gains = np.where(valid, gains, -np.inf)
+    k = int(gains.argmax())
+    j, t = divmod(k, gains.shape[1])
+    return float(gains[j, t]), j, t
+
+
+def _argmax_cells(gains, jj, tt):
+    """``(gain, j, t)`` of the flat argmax over a ``(F, T)`` grid whose
+    only finite cells are ``gains`` at ``(jj, tt)``, every other cell
+    ``-inf`` — without building the grid.  An all ``-inf`` grid has its
+    argmax at flat cell 0."""
+    k = int(gains.argmax())
+    if gains[k] == -np.inf:
+        return float(gains[k]), 0, 0
+    return float(gains[k]), int(jj[k]), int(tt[k])
+
+
+def _split_cells(hists, nbf, n_idx, H, min_child_weight, min_samples_leaf,
+                 t_valid):
+    """Left cumulative sums and the ``(F, T)`` valid-threshold mask."""
     P, F, nbmax = hists.shape
     # one cumulative sum over every (part, feature) row at once
     cs = hists.reshape(P * F, nbmax).cumsum(axis=1).reshape(P, F, nbmax)
-    GL = cs[0, :, :-1]
     HL = cs[1, :, :-1]
-    GR, HR = G - GL, H - HL
+    HR = H - HL
     valid = (HL >= min_child_weight) & (HR >= min_child_weight)
     if t_valid is None:
         # thresholds past a feature's own bin count are no real splits
@@ -230,26 +250,137 @@ def best_split_scan(hists, nbf, n_idx, G, H, parent, min_child_weight,
         valid &= (CL >= min_samples_leaf) & (
             n_idx - CL >= min_samples_leaf
         )
-    if rng is not None:
-        # Extra-trees: keep one random valid threshold per feature.
-        keep = np.zeros_like(valid)
-        for j in range(F):
-            cand = np.nonzero(valid[j])[0]
-            if cand.size:
-                keep[j, int(rng.choice(cand))] = True
-        valid = keep
-    if not valid.any():
+    return cs[0, :, :-1], HL, HR, valid
+
+
+def best_split_counts(hists, nbf, n_idx, H, min_child_weight,
+                      min_samples_leaf, t_valid=None):
+    """Number of valid thresholds per feature (int64 ``(F,)``) under
+    the validity rules of :func:`best_split_scan` — what an
+    extra-random grower draws its per-feature picks from."""
+    return _split_cells(hists, nbf, n_idx, H, min_child_weight,
+                        min_samples_leaf, t_valid)[3].sum(axis=1)
+
+
+def best_split_scan(hists, nbf, n_idx, G, H, parent, min_child_weight,
+                    reg_alpha, reg_lambda, min_samples_leaf, picks=None,
+                    t_valid=None):
+    """Best ``(gain, j, t)`` over one node's stacked histograms.
+
+    ``j`` indexes into the candidate-feature list the histograms were
+    built over; ``(0.0, -1, -1)`` means no valid split.  Thresholds are
+    bin codes; split sends ``code <= t`` left (missing bin 0 always
+    goes left).  ``picks`` is the extra-trees mode: int64 ``(F,)``,
+    feature ``j`` competes with only its ``picks[j]``-th valid
+    threshold (``-1``: none), and gains are computed at those cells
+    alone — bitwise the values and argmax of the full grid masked to
+    them.  ``t_valid`` is the threshold-validity mask
+    ``arange(nbmax-1) < (nbf-1)[:, None]`` — growers hoist it out of
+    this per-node call (the C kernel derives it from ``nbf`` inline and
+    ignores the arg).
+    """
+    GL, HL, HR, valid = _split_cells(hists, nbf, n_idx, H,
+                                     min_child_weight, min_samples_leaf,
+                                     t_valid)
+    if picks is not None:
+        # score the picked cells only: every op below is elementwise,
+        # so their gains equal the full grid's bit for bit
+        jj, tt = _picked_cells(valid, picks)
+        if jj.size == 0:
+            return 0.0, -1, -1
+        GL, HL, HR = GL[jj, tt], HL[jj, tt], HR[jj, tt]
+    elif not valid.any():
         return 0.0, -1, -1
+    GR = G - GL
     # same association as 0.5*(score(L) + score(R) − parent), built
     # in place to avoid (F, T)-sized temporaries on every node
     gains = _score(GL, HL, reg_alpha, reg_lambda)
     gains += _score(GR, HR, reg_alpha, reg_lambda)
     gains -= parent
     gains *= 0.5
-    gains = np.where(valid, gains, -np.inf)
-    k = int(gains.argmax())
-    j, t = divmod(k, gains.shape[1])
-    return float(gains[j, t]), j, t
+    if picks is None:
+        return _argmax_grid(gains, valid)
+    return _argmax_cells(gains, jj, tt)
+
+
+def _class_sum(a, seq):
+    """Sum over the class (last) axis.  ``seq`` forces a left-to-right
+    sum; otherwise numpy's reduce picks the order from the layout
+    (left-to-right when the class axis is an outer loop, pairwise when
+    it is the only axis left)."""
+    return a.cumsum(axis=-1)[..., -1] if seq else a.sum(axis=-1)
+
+
+def impurity(counts, criterion, seq=False):
+    """Impurity of count vectors along the last axis, times total count.
+
+    Returning ``impurity * n`` (the "weighted" impurity) makes the gain
+    computation a simple subtraction.  ``seq`` is :func:`_class_sum`'s.
+    """
+    tot = _class_sum(counts, seq)
+    safe = np.maximum(tot, _EPS)
+    p = counts / safe[..., None]
+    if criterion == "gini":
+        np.power(p, 2, out=p)  # in place: p is ours, and p**2 == p·p
+        per = 1.0 - _class_sum(p, seq)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.where(p > 0, np.log2(np.maximum(p, _EPS)), 0.0)
+        per = -_class_sum(p * logp, seq)
+    per *= tot
+    return per
+
+
+def _class_cells(joint, nbf, n_idx, min_samples_leaf):
+    """Left class counts ``(F, T, K)`` and the valid-threshold mask."""
+    K, F, nbmax = joint.shape
+    CL = joint.reshape(K * F, nbmax).cumsum(axis=1).reshape(K, F, nbmax)
+    CL = np.moveaxis(CL[:, :, :-1], 0, -1)  # (F, T, K) view, K outermost
+    nl = CL.sum(axis=2)
+    nr = n_idx - nl
+    valid = (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    valid &= np.arange(nbmax - 1) < (nbf - 1)[:, None]
+    return CL, valid
+
+
+def class_split_counts(joint, nbf, n_idx, min_samples_leaf):
+    """Number of valid thresholds per feature (int64 ``(F,)``) under
+    the validity rules of :func:`class_split_scan`."""
+    return _class_cells(joint, nbf, n_idx, min_samples_leaf)[1].sum(axis=1)
+
+
+def class_split_scan(joint, total, nbf, n_idx, parent, min_samples_leaf,
+                     criterion="gini", picks=None):
+    """Best ``(gain, j, t)`` of a classification node.
+
+    ``joint`` is the node's ``(K, F, nbmax)`` :func:`build_class_hists`
+    output, ``total`` its float64 ``(K,)`` class totals and ``parent``
+    ``impurity(total)``; gains are ``parent − imp(left) − imp(right)``
+    under gini or entropy, ``(0.0, -1, -1)`` means no valid split, and
+    ``picks`` is the extra-trees mode of :func:`best_split_scan`.
+
+    Class-axis sums follow numpy's own order on the ``(F, T, K)`` grid,
+    whose class axis is outermost in memory: left to right, except
+    pairwise when the grid is a single cell.  The picked ``(M, K)``
+    cells have a layout of their own, so :func:`impurity` is told that
+    order.
+    """
+    CL, valid = _class_cells(joint, nbf, n_idx, min_samples_leaf)
+    seq = False
+    if picks is not None:
+        jj, tt = _picked_cells(valid, picks)
+        if jj.size == 0:
+            return 0.0, -1, -1
+        CL, seq = CL[jj, tt], valid.size > 1
+    elif not valid.any():
+        return 0.0, -1, -1
+    # same association as parent − imp(CL) − imp(CR), built in place
+    gains = impurity(CL, criterion, seq)
+    np.subtract(parent, gains, out=gains)
+    gains -= impurity(total - CL, criterion, seq)
+    if picks is None:
+        return _argmax_grid(gains, valid)
+    return _argmax_cells(gains, jj, tt)
 
 
 class ObliviousLevelScorer:

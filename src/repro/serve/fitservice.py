@@ -81,7 +81,8 @@ class FitJob:
         self.job_id = job_id
         self.tenant = tenant
         self.name = name
-        self.params = params  # the AutoML.fit arguments (sans data)
+        # the AutoML.fit arguments; X/y are dropped when the job finishes
+        self.params = params
         self.status = "queued"
         self.submitted_unix = time.time()
         self.started_unix: float | None = None
@@ -326,6 +327,10 @@ class FitService:
             self._job_done(job)
 
     def _job_done(self, job: FitJob) -> None:
+        # a finished job no longer needs its training payload; rebind
+        # (not pop) so a concurrent snapshot() iterates an unchanged dict
+        job.params = {k: v for k, v in job.params.items()
+                      if k not in ("X", "y")}
         REGISTRY.counter(
             "repro_tenant_searches_total",
             "Fit-service searches finished, per tenant and outcome.",

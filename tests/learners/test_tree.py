@@ -205,3 +205,40 @@ class TestClassTreeGrower:
         tree = ClassTreeGrower(n_classes=2).grow(codes, y, n_bins)
         # After separating the two pure halves there is nothing left to split.
         assert tree.n_leaves == 2
+
+
+class TestExtraRandomDraw:
+    """The extra-random growers draw every feature's threshold pick with
+    one ``rng.integers(0, counts[counts > 0])`` call.  Trees (and the
+    golden trial errors) stay bit-identical to the historical
+    ``rng.choice(candidates)`` per feature only while numpy keeps the
+    two draws equal — pinned here, so a numpy that breaks it fails this
+    test rather than the goldens."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_call_matches_per_feature_choice(self, seed):
+        from repro.learners.tree import _draw_picks
+
+        shape = np.random.default_rng(100 + seed)
+        counts = shape.integers(0, 600, size=40)
+        counts[::5] = 0      # features without candidates are skipped
+        counts[1::7] = 1     # a single candidate draws nothing
+        counts[2::9] = 256   # ranges past 255
+        counts[3] = 70_000   # and past 65535
+        per_feature = np.random.default_rng(seed)
+        one_call = np.random.default_rng(seed)
+        expected = [
+            int(per_feature.choice(np.arange(c))) for c in counts if c > 0
+        ]
+        picks = _draw_picks(one_call, counts)
+        assert picks[counts > 0].tolist() == expected
+        assert (picks[counts == 0] == -1).all()
+        assert one_call.bit_generator.state == per_feature.bit_generator.state
+
+    def test_no_candidates_draws_nothing(self):
+        from repro.learners.tree import _draw_picks
+
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert _draw_picks(rng, np.zeros(5, dtype=np.int64)) is None
+        assert rng.bit_generator.state == state

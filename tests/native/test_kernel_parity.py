@@ -1,15 +1,19 @@
 """Differential fuzz: compiled kernels vs the numpy reference, bitwise.
 
-Every exported kernel (``build_hists``, ``best_split_scan``, the
-oblivious level scorer) must return **bit-for-bit** the same floats as
+Every exported kernel (``build_hists``, the split scans
+``best_split_scan``/``class_split_scan`` with their picks and
+``*_counts`` modes, the oblivious level scorer) must return
+**bit-for-bit** the same floats as
 :mod:`repro.native.fallback` — not ``allclose``, the identical IEEE
 doubles — across hypothesis-generated workloads including empty nodes,
 single-bin features, all-rows-one-leaf, and extreme float magnitudes
 (overflow-to-inf sums included; comparisons go through the raw uint64
 bit patterns, so even NaN-producing inf−inf cancellations must agree).
 
-Whole-grower parity rides on top: a GradTree / oblivious-tree grown
-with the native kernels equals the fallback-grown tree node for node.
+Whole-grower parity rides on top: a GradTree / ClassTree /
+oblivious-tree grown with the native kernels equals the fallback-grown
+tree node for node, and the forest learners fit with every fallback
+split scan made to raise (no numpy fallback on the default path).
 """
 
 import numpy as np
@@ -213,6 +217,127 @@ class TestBestSplitScanParity:
         assert ra == rb == (0.0, -1, -1)
 
 
+def random_picks(rng, counts):
+    """A valid pick per feature with candidates, ``-1`` elsewhere."""
+    picks = np.full(counts.size, -1, dtype=np.int64)
+    has = counts > 0
+    picks[has] = rng.integers(0, counts[has])
+    return picks
+
+
+class TestMaskedSplitScanParity:
+    @settings(max_examples=80, deadline=None)
+    @given(case=node_cases(), params=SCAN_PARAMS,
+           pick_seed=st.integers(0, 2**32 - 1))
+    def test_fuzz(self, case, params, pick_seed):
+        codes, n_bins, idx, g, h, features, all_features = case
+        alpha, lam, mcw, msl = params
+        nbf = n_bins[features]
+        nbmax = int(nbf.max())
+        if nbmax < 2:
+            return
+        gi, hi = g[idx], h[idx]
+        G, H = float(gi.sum()), float(hi.sum())
+        parent = soft_threshold(G, alpha) ** 2 / (H + lam)
+        hists = fallback.build_hists(codes, gi, hi, idx, features, n_bins,
+                                     nbmax, msl > 1,
+                                     all_features=all_features)
+        ca = fallback.best_split_counts(hists, nbf, idx.size, H, mcw, msl)
+        cb = native().best_split_counts(hists, nbf, idx.size, H, mcw, msl)
+        assert ca.dtype == cb.dtype == np.int64
+        assert np.array_equal(ca, cb)
+        picks = random_picks(np.random.default_rng(pick_seed), ca)
+        ra = fallback.best_split_scan(hists, nbf, idx.size, G, H, parent,
+                                      mcw, alpha, lam, msl, picks=picks)
+        rb = native().best_split_scan(hists, nbf, idx.size, G, H, parent,
+                                      mcw, alpha, lam, msl, picks=picks)
+        assert_result_equal(ra, rb)
+        # the picked scan is the full scan masked to the picks
+        if (picks >= 0).all() and (ca == 1).all():
+            assert_result_equal(ra, fallback.best_split_scan(
+                hists, nbf, idx.size, G, H, parent, mcw, alpha, lam, msl))
+
+
+@st.composite
+def class_node_cases(draw):
+    """One classification node: joint histograms and class totals."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    K = draw(st.sampled_from([2, 3, 8, 9, 12]))
+    n = draw(st.integers(2, 150))
+    F = draw(st.sampled_from([1, 1, 2, 4]))
+    weighted = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    n_bins = rng.integers(1, 20, size=F).astype(np.int64)
+    if draw(st.booleans()):
+        n_bins[rng.integers(0, F)] = 1  # a 1-bin feature
+    n_bins[rng.integers(0, F)] = max(2, draw(st.sampled_from([2, 3, 19])))
+    codes = np.stack(
+        [rng.integers(0, b, size=n) for b in n_bins], axis=1
+    ).astype(np.uint8)
+    yk = rng.integers(0, K, size=n).astype(np.int64)
+    w = rng.random(n) * 10.0 ** rng.integers(-3, 4) if weighted else None
+    idx = np.arange(n)
+    nbmax = int(n_bins.max())
+    joint = fallback.build_class_hists(codes, yk, idx, w, np.arange(F), K,
+                                       nbmax, all_features=True)
+    total = np.bincount(yk, weights=w, minlength=K).astype(np.float64)
+    return joint, total, n_bins, n, rng
+
+
+class TestClassSplitScanParity:
+    @settings(max_examples=150, deadline=None)
+    @given(case=class_node_cases(), msl=st.sampled_from([1, 3]),
+           with_picks=st.booleans())
+    def test_fuzz_gini(self, case, msl, with_picks):
+        joint, total, nbf, n, rng = case
+        parent = float(fallback.impurity(total, "gini"))
+        ca = fallback.class_split_counts(joint, nbf, n, msl)
+        cb = native().class_split_counts(joint, nbf, n, msl)
+        assert ca.dtype == cb.dtype == np.int64
+        assert np.array_equal(ca, cb)
+        picks = random_picks(rng, ca) if with_picks else None
+        ra = fallback.class_split_scan(joint, total, nbf, n, parent, msl,
+                                       "gini", picks=picks)
+        rb = native().class_split_scan(joint, total, nbf, n, parent, msl,
+                                       "gini", picks=picks)
+        assert_result_equal(ra, rb)
+
+    def test_single_cell_grid_sums_pairwise(self):
+        """One feature with one threshold leaves the class axis as the
+        only axis of numpy's reduce, which then sums pairwise — at
+        K >= 8 that differs from the left-to-right sum of every other
+        grid shape, and the C scan must follow."""
+        nbf = np.array([2], dtype=np.int64)
+        n = 10**9  # above every weighted count: the one cell is valid
+        for seed in range(10):  # the two orders round apart on most
+            rng = np.random.default_rng(seed)
+            K = 12
+            joint = rng.random((K, 1, 2)) * 10.0 ** rng.integers(
+                -6, 6, (K, 1, 2))
+            total = joint.sum(axis=(1, 2))
+            parent = float(fallback.impurity(total, "gini"))
+            for picks in (None, np.zeros(1, dtype=np.int64)):
+                ra = fallback.class_split_scan(joint, total, nbf, n, parent,
+                                               1, "gini", picks=picks)
+                rb = native().class_split_scan(joint, total, nbf, n, parent,
+                                               1, "gini", picks=picks)
+                assert ra[1:] == (0, 0)
+                assert_result_equal(ra, rb)
+
+    def test_entropy_stays_on_the_reference(self, monkeypatch):
+        joint = np.ones((3, 2, 4))
+        total = joint.sum(axis=(1, 2))
+        nbf = np.array([4, 4], dtype=np.int64)
+        calls = []
+        real = fallback.class_split_scan
+        monkeypatch.setattr(fallback, "class_split_scan",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        parent = float(fallback.impurity(total, "entropy"))
+        native().class_split_scan(joint, total, nbf, 8, parent, 1,
+                                  "entropy")
+        assert calls == [1]
+
+
 class TestObliviousScorerParity:
     @settings(max_examples=50, deadline=None)
     @given(case=node_cases(), depth=st.integers(1, 4),
@@ -272,6 +397,71 @@ class TestWholeGrowerParity:
         for a, b in zip(self._tree_arrays(trees["numpy"]),
                         self._tree_arrays(trees["native"])):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"extra_random": True},
+        {"extra_random": True, "min_samples_leaf": 3, "max_features": 0.6},
+        {"criterion": "entropy", "extra_random": True},
+    ])
+    @pytest.mark.parametrize("n_classes", [2, 9])
+    def test_class_tree_identical(self, kw, n_classes):
+        from repro.learners.tree import ClassTreeGrower
+
+        rng = np.random.default_rng(4)
+        n, d = 400, 5
+        n_bins = np.array([17, 2, 9, 1, 17], dtype=np.int64)
+        codes = np.stack(
+            [rng.integers(0, b, n) for b in n_bins], axis=1
+        ).astype(np.uint8)
+        y = rng.integers(0, n_classes, n)
+        w = rng.random(n) + 0.5
+        trees = {}
+        for name, kernels in (("numpy", fallback), ("native", native())):
+            grower = ClassTreeGrower(
+                n_classes=n_classes, max_depth=8,
+                rng=np.random.default_rng(0), kernels=kernels, **kw,
+            )
+            trees[name] = grower.grow(codes, y, n_bins, sample_weight=w)
+        for a, b in zip(self._tree_arrays(trees["numpy"]),
+                        self._tree_arrays(trees["native"])):
+            np.testing.assert_array_equal(a, b)
+
+    def test_forests_never_touch_the_fallback_scans(self, monkeypatch,
+                                                    binary_split,
+                                                    regression_split):
+        """With native kernels on and uint8/uint16 codes, the default
+        forest path (gini) runs no numpy split scan — extra-random mode
+        included."""
+        from repro.learners import (
+            ExtraTreesClassifier,
+            ExtraTreesRegressor,
+            RandomForestClassifier,
+            RandomForestRegressor,
+        )
+
+        def boom(*args, **kwargs):
+            raise AssertionError("numpy fallback split scan on the "
+                                 "native path")
+
+        for name in ("best_split_scan", "best_split_counts",
+                     "class_split_scan", "class_split_counts",
+                     "build_hists", "build_class_hists"):
+            monkeypatch.setattr(fallback, name, boom)
+        prev = set_native_enabled(True)
+        try:
+            for max_bin in (64, 300):  # uint8 and uint16 codes
+                Xtr, ytr, Xte, _ = binary_split
+                for cls in (ExtraTreesClassifier, RandomForestClassifier):
+                    m = cls(tree_num=3, max_bin=max_bin, seed=0).fit(Xtr, ytr)
+                    assert m.predict(Xte).shape == (Xte.shape[0],)
+                Xtr, ytr, Xte, _ = regression_split
+                for cls in (ExtraTreesRegressor, RandomForestRegressor):
+                    m = cls(tree_num=3, max_bin=max_bin, max_features=0.7,
+                            min_samples_leaf=2, seed=0).fit(Xtr, ytr)
+                    assert np.isfinite(m.predict(Xte)).all()
+        finally:
+            set_native_enabled(prev)
 
     def test_catboost_engine_identical(self, binary_split):
         from repro.learners import CatBoostLikeClassifier

@@ -80,7 +80,9 @@ class TestSubmissionValidation:
 
 class TestTenantBudget:
     def test_exhausted_tenant_is_refused_others_fine(self):
-        X, y = _toy_data()
+        # 1000 rows: an rf trial on the 120-row default costs 3-9 ms with
+        # the native class scan, under the 10 ms budget it must exhaust
+        X, y = _toy_data(n=1000)
         with FitService(n_workers=2, max_searches=1,
                         tenant_time_budget=0.01) as service:
             job = service.submit("alice", "m", X, y, task="classification",
@@ -127,6 +129,36 @@ class TestCancellation:
                                  estimators=["rf"])
             _wait_terminal(service, job.job_id)
             assert service.cancel(job.job_id)["status"] == "done"
+
+
+class TestPayloadRetention:
+    def test_finished_jobs_drop_training_payload(self):
+        """Done, cancelled-while-running and cancelled-while-queued jobs
+        all let go of X/y; their snapshots stay as they were."""
+        X, y = _toy_data()
+        with FitService(n_workers=1, max_searches=1) as service:
+            done = service.submit("alice", "done", X, y,
+                                  task="classification", time_budget=10,
+                                  max_iters=2, estimators=["rf"])
+            _wait_terminal(service, done.job_id)
+            # max_searches=1: the long job runs, the next one queues
+            long = service.submit("alice", "long", X, y,
+                                  task="classification", time_budget=120,
+                                  max_iters=100_000, estimators=["rf"])
+            queued = service.submit("bob", "queued", X, y,
+                                    task="classification", time_budget=10,
+                                    max_iters=2, estimators=["rf"])
+            before = {j.job_id: j.snapshot()["params"]
+                      for j in (done, long, queued)}
+            service.cancel(queued.job_id)
+            service.cancel(long.job_id)
+            for job in (done, long, queued):
+                snap = _wait_terminal(service, job.job_id)
+                assert "X" not in job.params and "y" not in job.params
+                assert snap["params"] == before[job.job_id]
+            assert service.status(long.job_id)["status"] == "cancelled"
+            assert service.status(queued.job_id)["status"] == "cancelled"
+            assert service.status(queued.job_id)["started_unix"] is None
 
 
 @pytest.fixture(scope="module")
